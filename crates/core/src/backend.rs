@@ -261,13 +261,14 @@ impl Backend {
     }
 
     /// Sends values upstream on `stream` (Figure 2's
-    /// `stream->send("%f", value)`).
+    /// `stream->send("%f", value)`). The packet is allocated once:
+    /// [`Backend::send_packet`] stamps the rank into it in place.
     pub fn send(&self, stream: StreamId, tag: i32, fmt: &str, values: Vec<Value>) -> Result<()> {
-        let packet = Packet::with_fmt_str(stream, tag, fmt, values)?.with_src(self.rank);
-        self.send_packet(packet)
+        self.send_packet(Packet::with_fmt_str(stream, tag, fmt, values)?)
     }
 
-    /// Sends a pre-built packet upstream.
+    /// Sends a pre-built packet upstream, stamped with this back-end's
+    /// rank (in place when the caller hands over its only handle).
     pub fn send_packet(&self, packet: Packet) -> Result<()> {
         if *self.down.lock() {
             return Err(MrnetError::Shutdown);

@@ -12,8 +12,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mrnet_filters::SyncMode;
 use mrnet_obs::tracectx::TraceEnvelope;
 use mrnet_packet::{
-    decode_batch_lazy_with, decode_packet_from, encode_batch, encode_packet,
-    trace::{decode_trailer_from, encode_trailer_into},
+    batch_encoded_size, decode_batch_lazy_with, decode_packet_from, encode_batch_into,
+    encode_packet_into,
+    trace::{decode_trailer_from, encode_trailer_into, trailer_encoded_size},
     DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
 };
 
@@ -104,12 +105,12 @@ pub enum Frame {
     Traced(Vec<Packet>, Vec<TraceEnvelope>),
 }
 
-/// Encodes a batch of data packets as a frame.
+/// Encodes a batch of data packets as a frame: the kind byte, then the
+/// batch encoded in place, in one buffer allocated at its final size.
 pub fn encode_data_frame(packets: &[Packet]) -> Bytes {
-    let batch = encode_batch(packets);
-    let mut buf = BytesMut::with_capacity(1 + batch.len());
+    let mut buf = BytesMut::with_capacity(1 + batch_encoded_size(packets));
     buf.put_u8(FRAME_DATA);
-    buf.put_slice(&batch);
+    encode_batch_into(packets, &mut buf);
     buf.freeze()
 }
 
@@ -120,21 +121,21 @@ pub fn encode_traced_data_frame(packets: &[Packet], envelopes: &[TraceEnvelope])
     if envelopes.is_empty() {
         return encode_data_frame(packets);
     }
-    let batch = encode_batch(packets);
-    let mut buf = BytesMut::with_capacity(1 + 4 + batch.len() + 64 * envelopes.len());
+    let batch_len = batch_encoded_size(packets);
+    let mut buf = BytesMut::with_capacity(1 + 4 + batch_len + trailer_encoded_size(envelopes));
     buf.put_u8(FRAME_DATA_TRACED);
-    buf.put_u32_le(batch.len() as u32);
-    buf.put_slice(&batch);
+    buf.put_u32_le(batch_len as u32);
+    encode_batch_into(packets, &mut buf);
+    debug_assert_eq!(buf.len(), 1 + 4 + batch_len, "batch size is exact");
     encode_trailer_into(envelopes, &mut buf);
     buf.freeze()
 }
 
-/// Encodes a control packet as a frame.
+/// Encodes a control packet as a frame, in one buffer.
 pub fn encode_control_frame(packet: &Packet) -> Bytes {
-    let body = encode_packet(packet);
-    let mut buf = BytesMut::with_capacity(1 + body.len());
+    let mut buf = BytesMut::with_capacity(1 + packet.encoded_size_hint());
     buf.put_u8(FRAME_CONTROL);
-    buf.put_slice(&body);
+    encode_packet_into(packet, &mut buf);
     buf.freeze()
 }
 
@@ -648,6 +649,50 @@ mod tests {
             Frame::Data(got) => assert_eq!(got, packets),
             other => panic!("expected data frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_buffer_frames_equal_tag_plus_encoded_batch() {
+        use mrnet_obs::tracectx::HopRecord;
+        use mrnet_packet::encode_batch;
+        let fresh = vec![
+            PacketBuilder::new(5, 1)
+                .src(2)
+                .push(vec![0.5f32; 7])
+                .build(),
+            PacketBuilder::new(5, 1).push("x").push(-3i64).build(),
+        ];
+        let relayed = match decode_frame(encode_data_frame(&fresh)).unwrap() {
+            Frame::Data(got) => got,
+            other => panic!("expected data frame, got {other:?}"),
+        };
+        let env = TraceEnvelope {
+            trace_id: 4,
+            stream: 5,
+            hops: vec![HopRecord {
+                rank: 1,
+                recv_us: 2,
+                send_us: 3,
+            }],
+        };
+        for packets in [&fresh[..], &relayed[..], &relayed[..1], &[]] {
+            let batch = encode_batch(packets);
+            let mut plain = vec![FRAME_DATA];
+            plain.extend_from_slice(&batch);
+            assert_eq!(encode_data_frame(packets), plain);
+
+            let mut traced = BytesMut::new();
+            traced.put_u8(FRAME_DATA_TRACED);
+            traced.put_u32_le(batch.len() as u32);
+            traced.put_slice(&batch);
+            encode_trailer_into(std::slice::from_ref(&env), &mut traced);
+            let frame = encode_traced_data_frame(packets, std::slice::from_ref(&env));
+            assert_eq!(frame, traced.freeze());
+        }
+        let control = Control::Attach { rank: 7 }.to_packet();
+        let mut expect = vec![FRAME_CONTROL];
+        expect.extend_from_slice(&mrnet_packet::encode_packet(&control));
+        assert_eq!(encode_control_frame(&control), expect);
     }
 
     #[test]

@@ -154,6 +154,10 @@ macro_rules! log_debug {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that set the process-wide level, which
+    /// `cargo test` would otherwise run on parallel threads.
+    static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn parse_names() {
         assert_eq!(Level::parse("off"), Some(Level::Off));
@@ -173,6 +177,7 @@ mod tests {
 
     #[test]
     fn override_controls_enabled() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_max_level(Level::Off);
         assert!(!enabled(Level::Error));
         set_max_level(Level::Debug);
@@ -186,6 +191,7 @@ mod tests {
 
     #[test]
     fn macros_expand() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_max_level(Level::Off);
         log_error!(7u32, "silenced {}", 1);
         log_warn!("tester", "also silenced");

@@ -10,9 +10,13 @@
 //! when the batch should be flushed according to a [`BatchPolicy`];
 //! [`encode_batch`]/[`decode_batch`] are the wire form.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Range;
 
-use crate::codec::{decode_packet_from, encode_packet_into, validate_packet_at, DecodeLimits};
+use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::codec::{
+    decode_payload_validated, encode_packet_into, validate_packet_at, DecodeLimits,
+};
 use crate::error::{PacketError, Result};
 use crate::packet::Packet;
 
@@ -119,17 +123,37 @@ impl Batcher {
 /// When every packet is an untouched slice of one inbound batch and
 /// together they tile it exactly, that original buffer is returned
 /// as-is — a relayed batch costs zero encodes and zero copies.
+/// Otherwise the batch is encoded into one buffer allocated at its
+/// exact size.
 pub fn encode_batch(packets: &[Packet]) -> Bytes {
     if let Some(reused) = try_reuse_batch(packets) {
         return reused;
     }
-    let size: usize = 4 + packets.iter().map(Packet::encoded_size_hint).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(size);
+    let mut buf = BytesMut::with_capacity(batch_encoded_size(packets));
+    put_packets(packets, &mut buf);
+    buf.freeze()
+}
+
+/// Appends the wire form of [`encode_batch`] to `buf`, so a frame can
+/// carry its batch in the same buffer as its other fields. An
+/// untouched relayed batch is one slice copy.
+pub fn encode_batch_into(packets: &[Packet], buf: &mut BytesMut) {
+    match try_reuse_batch(packets) {
+        Some(reused) => buf.put_slice(&reused),
+        None => put_packets(packets, buf),
+    }
+}
+
+/// Exact byte length of the batch [`encode_batch`] produces.
+pub fn batch_encoded_size(packets: &[Packet]) -> usize {
+    4 + packets.iter().map(Packet::encoded_size_hint).sum::<usize>()
+}
+
+fn put_packets(packets: &[Packet], buf: &mut BytesMut) {
     buf.put_u32_le(packets.len() as u32);
     for p in packets {
-        encode_packet_into(p, &mut buf);
+        encode_packet_into(p, buf);
     }
-    buf.freeze()
 }
 
 /// The original inbound batch buffer, if `packets` are exactly its
@@ -159,6 +183,34 @@ fn try_reuse_batch(packets: &[Packet]) -> Option<Bytes> {
     (expect == base + origin.len()).then_some(origin)
 }
 
+/// Validates a packet buffer's count and every packet's structure
+/// against `limits`, building one packet per wire packet with `each`
+/// from its header fields and byte range.
+fn validate_batch(
+    data: &[u8],
+    limits: &DecodeLimits,
+    mut each: impl FnMut(u32, i32, u32, Range<usize>) -> Packet,
+) -> Result<Vec<Packet>> {
+    if data.len() < 4 {
+        return Err(PacketError::MalformedBatch("missing count"));
+    }
+    let count = u32::from_le_bytes(data[..4].try_into().expect("4 bytes"));
+    if u64::from(count) > limits.max_elems {
+        return Err(PacketError::MalformedBatch("count exceeds limit"));
+    }
+    let mut packets = Vec::with_capacity((count as usize).min(4096));
+    let mut pos = 4usize;
+    for _ in 0..count {
+        let (stream_id, tag, src, end) = validate_packet_at(data, pos, limits)?;
+        packets.push(each(stream_id, tag, src, pos..end));
+        pos = end;
+    }
+    if pos != data.len() {
+        return Err(PacketError::MalformedBatch("trailing bytes after batch"));
+    }
+    Ok(packets)
+}
+
 /// Decodes a packet buffer produced by [`encode_batch`] into lazy
 /// packets: headers are parsed and every packet's wire structure is
 /// validated against [`DecodeLimits::from_env`], but payloads stay as
@@ -169,31 +221,9 @@ pub fn decode_batch_lazy(bytes: Bytes) -> Result<Vec<Packet>> {
 
 /// [`decode_batch_lazy`] with explicit decode limits.
 pub fn decode_batch_lazy_with(bytes: Bytes, limits: &DecodeLimits) -> Result<Vec<Packet>> {
-    let data: &[u8] = &bytes;
-    if data.len() < 4 {
-        return Err(PacketError::MalformedBatch("missing count"));
-    }
-    let count = u32::from_le_bytes(data[..4].try_into().expect("4 bytes")) as usize;
-    if count as u64 > limits.max_elems {
-        return Err(PacketError::MalformedBatch("count exceeds limit"));
-    }
-    let mut packets = Vec::with_capacity(count.min(4096));
-    let mut pos = 4usize;
-    for _ in 0..count {
-        let (stream_id, tag, src, end) = validate_packet_at(data, pos, limits)?;
-        packets.push(Packet::from_validated_wire(
-            stream_id,
-            tag,
-            src,
-            bytes.slice(pos..end),
-            Some(bytes.clone()),
-        ));
-        pos = end;
-    }
-    if pos != data.len() {
-        return Err(PacketError::MalformedBatch("trailing bytes after batch"));
-    }
-    Ok(packets)
+    validate_batch(&bytes, limits, |stream_id, tag, src, range| {
+        Packet::from_validated_wire(stream_id, tag, src, bytes.slice(range), Some(bytes.clone()))
+    })
 }
 
 /// Decodes a packet buffer produced by [`encode_batch`].
@@ -201,24 +231,13 @@ pub fn decode_batch(bytes: Bytes) -> Result<Vec<Packet>> {
     decode_batch_with(bytes, &DecodeLimits::default())
 }
 
-/// Decodes a packet buffer with explicit decode limits.
+/// Decodes a packet buffer with explicit decode limits: the same
+/// validation pass as [`decode_batch_lazy_with`], then every packet is
+/// materialized at once.
 pub fn decode_batch_with(bytes: Bytes, limits: &DecodeLimits) -> Result<Vec<Packet>> {
-    let mut buf = bytes;
-    if buf.remaining() < 4 {
-        return Err(PacketError::MalformedBatch("missing count"));
-    }
-    let count = buf.get_u32_le() as usize;
-    if count > limits.max_elems as usize {
-        return Err(PacketError::MalformedBatch("count exceeds limit"));
-    }
-    let mut packets = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        packets.push(decode_packet_from(&mut buf, limits)?);
-    }
-    if buf.has_remaining() {
-        return Err(PacketError::MalformedBatch("trailing bytes after batch"));
-    }
-    Ok(packets)
+    validate_batch(&bytes, limits, |stream_id, tag, src, range| {
+        Packet::from_decoded(stream_id, tag, src, decode_payload_validated(&bytes[range]))
+    })
 }
 
 #[cfg(test)]

@@ -89,34 +89,34 @@ impl DecodeLimits {
     }
 }
 
-fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(PacketError::Truncated { context })
-    } else {
-        Ok(())
-    }
-}
-
-fn get_len(buf: &mut impl Buf, limit: u64, context: &'static str) -> Result<usize> {
-    need(buf, 4, context)?;
-    let len = buf.get_u32_le() as u64;
-    if len > limit {
-        return Err(PacketError::LengthOverflow { len, limit });
-    }
-    Ok(len as usize)
-}
-
+/// Appends `s` as a `u32` byte length and its UTF-8 bytes.
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<String> {
-    let len = get_len(buf, limits.max_bytes, "string length")?;
-    need(buf, len, "string body")?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| PacketError::InvalidUtf8)
+/// Appends a numeric array as a `u32` element count and its
+/// little-endian elements: one buffer grow, then one pass over
+/// fixed-size chunks, which the compiler vectorizes.
+fn put_array<T: Copy, const N: usize>(
+    buf: &mut BytesMut,
+    v: &[T],
+    to_le_bytes: impl Fn(T) -> [u8; N],
+) {
+    buf.put_u32_le(v.len() as u32);
+    let start = buf.len();
+    buf.resize(start + N * v.len(), 0);
+    for (dst, &e) in buf[start..].chunks_exact_mut(N).zip(v) {
+        dst.copy_from_slice(&to_le_bytes(e));
+    }
+}
+
+/// Reads a numeric array body (a whole number of `N`-byte
+/// little-endian elements) in one pass over fixed-size chunks.
+fn get_array<T, const N: usize>(body: &[u8], from_le_bytes: impl Fn([u8; N]) -> T) -> Vec<T> {
+    body.chunks_exact(N)
+        .map(|b| from_le_bytes(b.try_into().expect("chunk of N bytes")))
+        .collect()
 }
 
 /// Encodes one value (tag byte + payload) into `buf`.
@@ -135,42 +135,12 @@ fn encode_value(buf: &mut BytesMut, value: &Value) {
             buf.put_u32_le(v.len() as u32);
             buf.put_slice(v);
         }
-        Value::Int32Array(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_i32_le(*e);
-            }
-        }
-        Value::UInt32Array(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_u32_le(*e);
-            }
-        }
-        Value::Int64Array(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_i64_le(*e);
-            }
-        }
-        Value::UInt64Array(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_u64_le(*e);
-            }
-        }
-        Value::FloatArray(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_f32_le(*e);
-            }
-        }
-        Value::DoubleArray(v) => {
-            buf.put_u32_le(v.len() as u32);
-            for e in v {
-                buf.put_f64_le(*e);
-            }
-        }
+        Value::Int32Array(v) => put_array(buf, v, i32::to_le_bytes),
+        Value::UInt32Array(v) => put_array(buf, v, u32::to_le_bytes),
+        Value::Int64Array(v) => put_array(buf, v, i64::to_le_bytes),
+        Value::UInt64Array(v) => put_array(buf, v, u64::to_le_bytes),
+        Value::FloatArray(v) => put_array(buf, v, f32::to_le_bytes),
+        Value::DoubleArray(v) => put_array(buf, v, f64::to_le_bytes),
         Value::StrArray(v) => {
             buf.put_u32_le(v.len() as u32);
             for s in v {
@@ -180,195 +150,137 @@ fn encode_value(buf: &mut BytesMut, value: &Value) {
     }
 }
 
-/// Decodes one tagged value from `buf`.
-fn decode_value(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    let code = TypeCode::from_tag(buf.get_u8())?;
-    Ok(match code {
-        TypeCode::Char => {
-            need(buf, 1, "char")?;
-            Value::Char(buf.get_u8())
-        }
-        TypeCode::Int32 => {
-            need(buf, 4, "i32")?;
-            Value::Int32(buf.get_i32_le())
-        }
-        TypeCode::UInt32 => {
-            need(buf, 4, "u32")?;
-            Value::UInt32(buf.get_u32_le())
-        }
-        TypeCode::Int64 => {
-            need(buf, 8, "i64")?;
-            Value::Int64(buf.get_i64_le())
-        }
-        TypeCode::UInt64 => {
-            need(buf, 8, "u64")?;
-            Value::UInt64(buf.get_u64_le())
-        }
-        TypeCode::Float => {
-            need(buf, 4, "f32")?;
-            Value::Float(buf.get_f32_le())
-        }
-        TypeCode::Double => {
-            need(buf, 8, "f64")?;
-            Value::Double(buf.get_f64_le())
-        }
-        TypeCode::Str => Value::Str(get_str(buf, limits)?),
-        TypeCode::CharArray => {
-            let len = get_len(buf, limits.max_bytes, "byte array length")?;
-            need(buf, len, "byte array body")?;
-            let mut v = vec![0u8; len];
-            buf.copy_to_slice(&mut v);
-            Value::CharArray(v)
-        }
-        TypeCode::Int32Array => {
-            let len = get_len(buf, limits.max_elems, "i32 array length")?;
-            need(buf, len * 4, "i32 array body")?;
-            Value::Int32Array((0..len).map(|_| buf.get_i32_le()).collect())
-        }
-        TypeCode::UInt32Array => {
-            let len = get_len(buf, limits.max_elems, "u32 array length")?;
-            need(buf, len * 4, "u32 array body")?;
-            Value::UInt32Array((0..len).map(|_| buf.get_u32_le()).collect())
-        }
-        TypeCode::Int64Array => {
-            let len = get_len(buf, limits.max_elems, "i64 array length")?;
-            need(buf, len * 8, "i64 array body")?;
-            Value::Int64Array((0..len).map(|_| buf.get_i64_le()).collect())
-        }
-        TypeCode::UInt64Array => {
-            let len = get_len(buf, limits.max_elems, "u64 array length")?;
-            need(buf, len * 8, "u64 array body")?;
-            Value::UInt64Array((0..len).map(|_| buf.get_u64_le()).collect())
-        }
-        TypeCode::FloatArray => {
-            let len = get_len(buf, limits.max_elems, "f32 array length")?;
-            need(buf, len * 4, "f32 array body")?;
-            Value::FloatArray((0..len).map(|_| buf.get_f32_le()).collect())
-        }
-        TypeCode::DoubleArray => {
-            let len = get_len(buf, limits.max_elems, "f64 array length")?;
-            need(buf, len * 8, "f64 array body")?;
-            Value::DoubleArray((0..len).map(|_| buf.get_f64_le()).collect())
-        }
-        TypeCode::StrArray => {
-            let len = get_len(buf, limits.max_elems, "string array length")?;
-            let mut v = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                v.push(get_str(buf, limits)?);
-            }
-            Value::StrArray(v)
-        }
-    })
-}
-
-/// A cursor over a contiguous wire buffer, used by the validation
-/// pass to walk a packet's structure without allocating values.
+/// A cursor over a contiguous wire buffer. Validation walks a packet's
+/// structure with it; materialization reads the validated values back.
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn need(&self, n: usize, context: &'static str) -> Result<()> {
-        if self.data.len() - self.pos < n {
-            Err(PacketError::Truncated { context })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn skip(&mut self, n: usize, context: &'static str) -> Result<()> {
-        self.need(n, context)?;
-        self.pos += n;
-        Ok(())
-    }
-
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
-        self.need(n, context)?;
+        if self.data.len() - self.pos < n {
+            return Err(PacketError::Truncated { context });
+        }
         let out = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
-    fn get_u8(&mut self, context: &'static str) -> Result<u8> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn get_u16_le(&mut self, context: &'static str) -> Result<u16> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn get_u32_le(&mut self, context: &'static str) -> Result<u32> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn get<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N]> {
+        Ok(self.take(N, context)?.try_into().expect("N bytes"))
     }
 
     fn get_len(&mut self, limit: u64, context: &'static str) -> Result<usize> {
-        let len = self.get_u32_le(context)? as u64;
+        let len = u32::from_le_bytes(self.get(context)?) as u64;
         if len > limit {
             return Err(PacketError::LengthOverflow { len, limit });
         }
         Ok(len as usize)
     }
 
-    fn check_str(&mut self, limits: &DecodeLimits) -> Result<()> {
+    fn get_str(&mut self, limits: &DecodeLimits) -> Result<&'a str> {
         let len = self.get_len(limits.max_bytes, "string length")?;
         let body = self.take(len, "string body")?;
-        std::str::from_utf8(body).map_err(|_| PacketError::InvalidUtf8)?;
-        Ok(())
+        std::str::from_utf8(body).map_err(|_| PacketError::InvalidUtf8)
     }
 }
 
-/// Validates one tagged value's wire structure (type tag, length
-/// prefixes against `limits`, UTF-8 of strings) without materializing
-/// it, advancing the cursor past it.
-fn skip_value(c: &mut Cursor<'_>, limits: &DecodeLimits) -> Result<()> {
-    let code = TypeCode::from_tag(c.get_u8("value tag")?)?;
-    match code {
-        TypeCode::Char => c.skip(1, "char"),
-        TypeCode::Int32 => c.skip(4, "i32"),
-        TypeCode::UInt32 => c.skip(4, "u32"),
-        TypeCode::Int64 => c.skip(8, "i64"),
-        TypeCode::UInt64 => c.skip(8, "u64"),
-        TypeCode::Float => c.skip(4, "f32"),
-        TypeCode::Double => c.skip(8, "f64"),
-        TypeCode::Str => c.check_str(limits),
+/// One value's wire form, borrowed from the buffer: its type, its
+/// element count (1 for scalars and strings), and its body — the
+/// bytes after the tag and any count prefix.
+struct WireValue<'a> {
+    code: TypeCode,
+    count: usize,
+    body: &'a [u8],
+}
+
+/// The one structural walker: checks one tagged value's type tag,
+/// length prefixes (against `limits`) and string UTF-8, and returns
+/// its wire form without allocating, advancing the cursor past it.
+fn next_value<'a>(c: &mut Cursor<'a>, limits: &DecodeLimits) -> Result<WireValue<'a>> {
+    let code = TypeCode::from_tag(c.get::<1>("value tag")?[0])?;
+    let (count, body) = match code {
+        TypeCode::Char => (1, c.take(1, "char")?),
+        TypeCode::Int32 => (1, c.take(4, "i32")?),
+        TypeCode::UInt32 => (1, c.take(4, "u32")?),
+        TypeCode::Int64 => (1, c.take(8, "i64")?),
+        TypeCode::UInt64 => (1, c.take(8, "u64")?),
+        TypeCode::Float => (1, c.take(4, "f32")?),
+        TypeCode::Double => (1, c.take(8, "f64")?),
+        TypeCode::Str => (1, c.get_str(limits)?.as_bytes()),
         TypeCode::CharArray => {
             let len = c.get_len(limits.max_bytes, "byte array length")?;
-            c.skip(len, "byte array body")
+            (len, c.take(len, "byte array body")?)
         }
         TypeCode::Int32Array => {
             let len = c.get_len(limits.max_elems, "i32 array length")?;
-            c.skip(len * 4, "i32 array body")
+            (len, c.take(len * 4, "i32 array body")?)
         }
         TypeCode::UInt32Array => {
             let len = c.get_len(limits.max_elems, "u32 array length")?;
-            c.skip(len * 4, "u32 array body")
+            (len, c.take(len * 4, "u32 array body")?)
         }
         TypeCode::Int64Array => {
             let len = c.get_len(limits.max_elems, "i64 array length")?;
-            c.skip(len * 8, "i64 array body")
+            (len, c.take(len * 8, "i64 array body")?)
         }
         TypeCode::UInt64Array => {
             let len = c.get_len(limits.max_elems, "u64 array length")?;
-            c.skip(len * 8, "u64 array body")
+            (len, c.take(len * 8, "u64 array body")?)
         }
         TypeCode::FloatArray => {
             let len = c.get_len(limits.max_elems, "f32 array length")?;
-            c.skip(len * 4, "f32 array body")
+            (len, c.take(len * 4, "f32 array body")?)
         }
         TypeCode::DoubleArray => {
             let len = c.get_len(limits.max_elems, "f64 array length")?;
-            c.skip(len * 8, "f64 array body")
+            (len, c.take(len * 8, "f64 array body")?)
         }
         TypeCode::StrArray => {
             let len = c.get_len(limits.max_elems, "string array length")?;
+            let start = c.pos;
             for _ in 0..len {
-                c.check_str(limits)?;
+                c.get_str(limits)?;
             }
-            Ok(())
+            (len, &c.data[start..c.pos])
+        }
+    };
+    Ok(WireValue { code, count, body })
+}
+
+const VALIDATED: &str = "wire was validated at decode";
+
+/// Builds the typed value of a wire form [`next_value`] accepted.
+fn materialize(w: &WireValue<'_>) -> Value {
+    fn fixed<const N: usize>(body: &[u8]) -> [u8; N] {
+        body.try_into().expect(VALIDATED)
+    }
+    let b = w.body;
+    match w.code {
+        TypeCode::Char => Value::Char(b[0]),
+        TypeCode::Int32 => Value::Int32(i32::from_le_bytes(fixed(b))),
+        TypeCode::UInt32 => Value::UInt32(u32::from_le_bytes(fixed(b))),
+        TypeCode::Int64 => Value::Int64(i64::from_le_bytes(fixed(b))),
+        TypeCode::UInt64 => Value::UInt64(u64::from_le_bytes(fixed(b))),
+        TypeCode::Float => Value::Float(f32::from_le_bytes(fixed(b))),
+        TypeCode::Double => Value::Double(f64::from_le_bytes(fixed(b))),
+        TypeCode::Str => Value::Str(std::str::from_utf8(b).expect(VALIDATED).to_owned()),
+        TypeCode::CharArray => Value::CharArray(b.to_vec()),
+        TypeCode::Int32Array => Value::Int32Array(get_array(b, i32::from_le_bytes)),
+        TypeCode::UInt32Array => Value::UInt32Array(get_array(b, u32::from_le_bytes)),
+        TypeCode::Int64Array => Value::Int64Array(get_array(b, i64::from_le_bytes)),
+        TypeCode::UInt64Array => Value::UInt64Array(get_array(b, u64::from_le_bytes)),
+        TypeCode::FloatArray => Value::FloatArray(get_array(b, f32::from_le_bytes)),
+        TypeCode::DoubleArray => Value::DoubleArray(get_array(b, f64::from_le_bytes)),
+        TypeCode::StrArray => {
+            let mut c = Cursor { data: b, pos: 0 };
+            let unlimited = DecodeLimits::with_max(u64::MAX);
+            Value::StrArray(
+                (0..w.count)
+                    .map(|_| c.get_str(&unlimited).expect(VALIDATED).to_owned())
+                    .collect(),
+            )
         }
     }
 }
@@ -387,33 +299,37 @@ pub(crate) fn validate_packet_at(
     limits: &DecodeLimits,
 ) -> Result<(u32, i32, u32, usize)> {
     let mut c = Cursor { data, pos: start };
-    c.need(PACKET_HEADER_LEN, "packet header")?;
-    let stream_id = c.get_u32_le("packet header")?;
-    let tag = c.get_u32_le("packet header")? as i32;
-    let src = c.get_u32_le("packet header")?;
-    let arity = c.get_u16_le("packet header")? as usize;
+    let header: [u8; PACKET_HEADER_LEN] = c.get("packet header")?;
+    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+    let arity = u16::from_le_bytes([header[12], header[13]]);
     for _ in 0..arity {
-        skip_value(&mut c, limits)?;
+        next_value(&mut c, limits)?;
     }
-    Ok((stream_id, tag, src, c.pos))
+    Ok((word(0), word(4) as i32, word(8), c.pos))
 }
 
-/// Materializes the typed payload of a pre-validated wire packet.
-/// The `FormatString` is derived from the decoded value tags exactly
-/// once, here, and cached in the packet with the values.
-pub(crate) fn decode_payload_validated(wire: &Bytes) -> Decoded {
-    let mut buf = wire.slice(PACKET_HEADER_LEN - 2..);
-    let arity = buf.get_u16_le() as usize;
+/// Materializes the typed payload of a pre-validated wire packet
+/// (header included). The `FormatString` is derived from the decoded
+/// value tags exactly once, here, and cached in the packet with the
+/// values.
+pub(crate) fn decode_payload_validated(wire: &[u8]) -> Decoded {
+    let arity = u16::from_le_bytes([wire[PACKET_HEADER_LEN - 2], wire[PACKET_HEADER_LEN - 1]]);
+    let mut c = Cursor {
+        data: wire,
+        pos: PACKET_HEADER_LEN,
+    };
     // Structure and limits were enforced by `validate_packet_at`
-    // before the lazy packet was built, so decoding is infallible and
+    // before the packet was built, so decoding is infallible and
     // ingress limits must not be re-applied (they may have tightened
     // via the env since).
-    let permissive = DecodeLimits::with_max(u64::MAX);
-    let mut values = Vec::with_capacity(arity);
+    let unlimited = DecodeLimits::with_max(u64::MAX);
+    let mut codes = Vec::with_capacity(arity as usize);
+    let mut values = Vec::with_capacity(arity as usize);
     for _ in 0..arity {
-        values.push(decode_value(&mut buf, &permissive).expect("wire was validated at decode"));
+        let w = next_value(&mut c, &unlimited).expect(VALIDATED);
+        codes.push(w.code);
+        values.push(materialize(&w));
     }
-    let codes: Vec<_> = values.iter().map(Value::type_code).collect();
     Decoded {
         fmt: FormatString::from_codes(codes),
         values,
@@ -438,9 +354,10 @@ pub fn encode_packet_into(packet: &Packet, buf: &mut BytesMut) {
     }
 }
 
-/// Encodes `packet` into a freshly allocated buffer — unless the
-/// packet still carries its original wire bytes, in which case that
-/// buffer is returned as-is (zero copy, pointer-identical).
+/// Encodes `packet` into a freshly allocated buffer of exactly its
+/// encoded size — unless the packet still carries its original wire
+/// bytes, in which case that buffer is returned as-is (zero copy,
+/// pointer-identical).
 pub fn encode_packet(packet: &Packet) -> Bytes {
     if let Some(wire) = packet.raw_wire() {
         return wire.clone();
@@ -450,22 +367,13 @@ pub fn encode_packet(packet: &Packet) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one packet from the front of `buf`, consuming its bytes.
-pub fn decode_packet_from(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<Packet> {
-    need(buf, 4 + 4 + 4 + 2, "packet header")?;
-    let stream_id = buf.get_u32_le();
-    let tag = buf.get_i32_le();
-    let src = buf.get_u32_le();
-    let arity = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(buf, limits)?);
-    }
-    let codes: Vec<_> = values.iter().map(Value::type_code).collect();
-    let fmt = FormatString::from_codes(codes);
-    Ok(Packet::new(stream_id, tag, fmt, values)
-        .expect("format derived from decoded values always matches")
-        .with_src(src))
+/// Decodes one packet from the front of `buf`, consuming its bytes:
+/// the validation pass, then materialization of the validated region.
+pub fn decode_packet_from(buf: &mut Bytes, limits: &DecodeLimits) -> Result<Packet> {
+    let (stream_id, tag, src, end) = validate_packet_at(buf, 0, limits)?;
+    let decoded = decode_payload_validated(&buf[..end]);
+    buf.advance(end);
+    Ok(Packet::from_decoded(stream_id, tag, src, decoded))
 }
 
 /// Decodes one packet from an owned byte buffer.

@@ -33,8 +33,8 @@ mod unpack;
 mod value;
 
 pub use batch::{
-    decode_batch, decode_batch_lazy, decode_batch_lazy_with, decode_batch_with, encode_batch,
-    BatchPolicy, Batcher,
+    batch_encoded_size, decode_batch, decode_batch_lazy, decode_batch_lazy_with, decode_batch_with,
+    encode_batch, encode_batch_into, BatchPolicy, Batcher,
 };
 pub use codec::{
     decode_packet, decode_packet_from, encode_packet, encode_packet_into, parse_decode_max,

@@ -106,14 +106,29 @@ impl Packet {
         values: Vec<Value>,
     ) -> Result<Packet> {
         fmt.check(&values)?;
-        Ok(Packet {
+        Ok(Packet::from_decoded(
+            stream_id,
+            tag,
+            0,
+            Decoded { fmt, values },
+        ))
+    }
+
+    /// Builds a packet around an already consistent typed payload.
+    pub(crate) fn from_decoded(
+        stream_id: StreamId,
+        tag: Tag,
+        src: Rank,
+        decoded: Decoded,
+    ) -> Packet {
+        Packet {
             inner: Arc::new(PacketInner {
                 stream_id,
                 tag,
-                src: 0,
-                payload: PayloadRepr::Eager(Decoded { fmt, values }),
+                src,
+                payload: PayloadRepr::Eager(decoded),
             }),
-        })
+        }
     }
 
     /// Creates a packet from a textual format string, validating the
@@ -161,10 +176,10 @@ impl Packet {
 
     /// Returns a copy of this packet with the originating rank set.
     ///
-    /// If this handle is the sole owner the interior is reused without
-    /// copying the payload. Changing the rank of a wire-decoded packet
-    /// materializes its payload (the raw bytes would carry the stale
-    /// rank).
+    /// If this handle is the sole owner the interior is edited in
+    /// place: no allocation and no payload copy. Changing the rank of
+    /// a wire-decoded packet materializes its payload (the raw bytes
+    /// would carry the stale rank).
     pub fn with_src(self, src: Rank) -> Packet {
         if self.inner.src == src {
             return self;
@@ -183,34 +198,31 @@ impl Packet {
         self.rebuild(|inner| inner.stream_id = stream_id)
     }
 
-    /// Clones-on-write the interior with a header edit applied,
-    /// converting any raw payload to its typed form first so the raw
-    /// bytes never disagree with the header.
-    fn rebuild(self, edit: impl FnOnce(&mut PacketInner)) -> Packet {
-        let mut inner = match Arc::try_unwrap(self.inner) {
-            Ok(inner) => PacketInner {
-                stream_id: inner.stream_id,
-                tag: inner.tag,
-                src: inner.src,
-                payload: PayloadRepr::Eager(match inner.payload {
-                    PayloadRepr::Eager(d) => d,
-                    PayloadRepr::Raw { wire, cache, .. } => cache
-                        .into_inner()
-                        .unwrap_or_else(|| codec::decode_payload_validated(&wire)),
-                }),
-            },
-            Err(shared) => {
-                let d = shared.decoded();
-                PacketInner {
-                    stream_id: shared.stream_id,
-                    tag: shared.tag,
-                    src: shared.src,
-                    payload: PayloadRepr::Eager(Decoded {
-                        fmt: d.fmt.clone(),
-                        values: d.values.clone(),
-                    }),
-                }
+    /// Clones-on-write the interior with a header edit applied (in
+    /// place when this handle is the sole owner), converting any raw
+    /// payload to its typed form first so the raw bytes never disagree
+    /// with the header.
+    fn rebuild(mut self, edit: impl FnOnce(&mut PacketInner)) -> Packet {
+        if let Some(inner) = Arc::get_mut(&mut self.inner) {
+            if let PayloadRepr::Raw { wire, cache, .. } = &mut inner.payload {
+                let d = cache
+                    .take()
+                    .unwrap_or_else(|| codec::decode_payload_validated(wire));
+                inner.payload = PayloadRepr::Eager(d);
             }
+            edit(inner);
+            return self;
+        }
+        let shared = &self.inner;
+        let d = shared.decoded();
+        let mut inner = PacketInner {
+            stream_id: shared.stream_id,
+            tag: shared.tag,
+            src: shared.src,
+            payload: PayloadRepr::Eager(Decoded {
+                fmt: d.fmt.clone(),
+                values: d.values.clone(),
+            }),
         };
         edit(&mut inner);
         Packet {
@@ -290,15 +302,19 @@ impl Packet {
         }
     }
 
-    /// Approximate encoded size in bytes, used for batching decisions.
-    /// Exact for raw packets.
+    /// Exact encoded size in bytes: what [`crate::encode_packet`]
+    /// produces. Used for batching decisions and to allocate every
+    /// frame buffer once, at its final size.
     pub fn encoded_size_hint(&self) -> usize {
         match &self.inner.payload {
             PayloadRepr::Raw { wire, .. } => wire.len(),
             PayloadRepr::Eager(d) => {
-                // header: stream id + tag + src + fmt string + count
-                let header = 4 + 4 + 4 + 4 + d.fmt.canonical().len() + 4;
-                header + d.values.iter().map(Value::encoded_size_hint).sum::<usize>()
+                // header, then per value its tag byte and its body
+                PACKET_HEADER_LEN
+                    + d.values
+                        .iter()
+                        .map(|v| 1 + v.encoded_size_hint())
+                        .sum::<usize>()
             }
         }
     }
@@ -399,9 +415,15 @@ impl PacketBuilder {
     pub fn build(self) -> Packet {
         let codes: Vec<_> = self.values.iter().map(Value::type_code).collect();
         let fmt = FormatString::from_codes(codes);
-        Packet::new(self.stream_id, self.tag, fmt, self.values)
-            .expect("derived format always matches values")
-            .with_src(self.src)
+        Packet::from_decoded(
+            self.stream_id,
+            self.tag,
+            self.src,
+            Decoded {
+                fmt,
+                values: self.values,
+            },
+        )
     }
 }
 
@@ -468,6 +490,22 @@ mod tests {
         let r = p.clone().with_src(10);
         assert_eq!(p.src(), 9);
         assert_eq!(r.src(), 10);
+    }
+
+    #[test]
+    fn header_edit_of_a_sole_owner_reuses_its_allocation() {
+        let p = sample();
+        let before = Arc::as_ptr(&p.inner);
+        let q = p.with_src(9).with_stream(4);
+        assert_eq!(Arc::as_ptr(&q.inner), before);
+        assert_eq!((q.src(), q.stream_id()), (9, 4));
+        // A lazy sole owner materializes in place too.
+        let l = lazy(&sample());
+        let before = Arc::as_ptr(&l.inner);
+        let m = l.with_src(2);
+        assert_eq!(Arc::as_ptr(&m.inner), before);
+        assert!(m.raw_wire().is_none());
+        assert_eq!(m.values(), sample().values());
     }
 
     #[test]

@@ -30,7 +30,16 @@ const HOP_WIRE_BYTES: usize = 4 + 8 + 8;
 
 /// Bytes `env` will occupy on the wire.
 pub fn envelope_encoded_size(env: &TraceEnvelope) -> usize {
-    8 + 4 + 2 + env.hops.len() * HOP_WIRE_BYTES
+    8 + 4 + 2 + env.hops.len().min(MAX_TRACE_HOPS) * HOP_WIRE_BYTES
+}
+
+/// Bytes the trailer form of `envelopes` will occupy on the wire.
+pub fn trailer_encoded_size(envelopes: &[TraceEnvelope]) -> usize {
+    let n = envelopes.len().min(MAX_TRAILER_ENVELOPES);
+    2 + envelopes[..n]
+        .iter()
+        .map(envelope_encoded_size)
+        .sum::<usize>()
 }
 
 /// Appends the wire form of `env` to `buf`.

@@ -383,7 +383,8 @@ impl Value {
         self.len() == 0
     }
 
-    /// Approximate encoded size in bytes, used for batching decisions.
+    /// Exact encoded size in bytes of the value's body on the wire
+    /// (its type-tag byte excluded).
     pub fn encoded_size_hint(&self) -> usize {
         match self {
             Value::Char(_) => 1,

@@ -5,9 +5,10 @@
 use bytes::Bytes;
 use mrnet_packet::{
     decode_batch, decode_batch_lazy, decode_packet, encode_batch, encode_packet, FormatString,
-    Packet, Value,
+    Packet, PacketBuilder, TypeCode, Value,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_scalar() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -68,6 +69,38 @@ fn values_eq(a: &Value, b: &Value) -> bool {
         }
         _ => a == b,
     }
+}
+
+/// Every float class `any` covers, plus raw bit patterns: quiet and
+/// signalling NaN payloads of either sign.
+fn arb_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![any::<f32>(), any::<u32>().prop_map(f32::from_bits)]
+}
+
+fn arb_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![any::<f64>(), any::<u64>().prop_map(f64::from_bits)]
+}
+
+/// Checks that the one-array packet built from `value` encodes to the
+/// reference wire form, written element by element with
+/// `to_le_bytes`, and decodes back bit for bit.
+fn check_array_wire<const N: usize>(
+    value: Value,
+    code: TypeCode,
+    elems: &[[u8; N]],
+) -> Result<(), TestCaseError> {
+    let mut reference = vec![0u8; 12]; // stream id, tag, src
+    reference.extend_from_slice(&1u16.to_le_bytes());
+    reference.push(code.tag());
+    reference.extend_from_slice(&(elems.len() as u32).to_le_bytes());
+    for e in elems {
+        reference.extend_from_slice(e);
+    }
+    let wire = encode_packet(&PacketBuilder::new(0, 0).push(value.clone()).build());
+    prop_assert_eq!(&wire[..], &reference[..]);
+    let back = decode_packet(wire).unwrap();
+    prop_assert!(values_eq(&back.values()[0], &value), "{:?}", back.values());
+    Ok(())
 }
 
 fn packets_eq(a: &Packet, b: &Packet) -> bool {
@@ -160,10 +193,71 @@ proptest! {
 
     #[test]
     fn encoded_size_hint_is_close(packet in arb_packet()) {
-        // The hint must be an upper bound within the header slack (the
-        // hint charges the textual fmt, the wire uses per-value tags).
+        // The hint is exact, so every frame buffer is allocated once
+        // at its final size.
         let actual = encode_packet(&packet).len();
         let hint = packet.encoded_size_hint();
-        prop_assert!(actual <= hint + 16, "actual {} hint {}", actual, hint);
+        prop_assert!(actual == hint, "actual {} hint {}", actual, hint);
+    }
+
+    #[test]
+    fn bulk_array_codec_matches_per_element_reference(
+        ints in (
+            proptest::collection::vec(any::<i32>(), 0..24),
+            proptest::collection::vec(any::<u32>(), 0..24),
+            proptest::collection::vec(any::<i64>(), 0..24),
+            proptest::collection::vec(any::<u64>(), 0..24),
+        ),
+        floats in (
+            proptest::collection::vec(arb_f32(), 0..24),
+            proptest::collection::vec(arb_f64(), 0..24),
+        ),
+    ) {
+        // Every prefix, so lengths 0, 1 and odd sizes are always
+        // covered.
+        let ((i32s, u32s, i64s, u64s), (f32s, f64s)) = (ints, floats);
+        for n in 0..=i32s.len() {
+            let v = &i32s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::Int32Array(v.to_vec()), TypeCode::Int32Array, &elems)?;
+        }
+        for n in 0..=u32s.len() {
+            let v = &u32s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::UInt32Array(v.to_vec()), TypeCode::UInt32Array, &elems)?;
+        }
+        for n in 0..=i64s.len() {
+            let v = &i64s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::Int64Array(v.to_vec()), TypeCode::Int64Array, &elems)?;
+        }
+        for n in 0..=u64s.len() {
+            let v = &u64s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::UInt64Array(v.to_vec()), TypeCode::UInt64Array, &elems)?;
+        }
+        for n in 0..=f32s.len() {
+            let v = &f32s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::FloatArray(v.to_vec()), TypeCode::FloatArray, &elems)?;
+        }
+        for n in 0..=f64s.len() {
+            let v = &f64s[..n];
+            let elems: Vec<_> = v.iter().map(|e| e.to_le_bytes()).collect();
+            check_array_wire(Value::DoubleArray(v.to_vec()), TypeCode::DoubleArray, &elems)?;
+        }
+    }
+
+    #[test]
+    fn truncated_body_is_rejected_anywhere(packet in arb_packet()) {
+        let wire = encode_packet(&packet);
+        for cut in 0..wire.len() {
+            prop_assert!(decode_packet(wire.slice(..cut)).is_err(), "packet cut at {}", cut);
+        }
+        let batch = encode_batch(std::slice::from_ref(&packet));
+        for cut in 0..batch.len() {
+            prop_assert!(decode_batch(batch.slice(..cut)).is_err(), "batch cut at {}", cut);
+            prop_assert!(decode_batch_lazy(batch.slice(..cut)).is_err(), "lazy cut at {}", cut);
+        }
     }
 }

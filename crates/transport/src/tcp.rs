@@ -41,7 +41,7 @@ use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 
@@ -157,13 +157,13 @@ impl ReaderLoop {
                     "frame length {len} exceeds limit {MAX_FRAME}"
                 )));
             }
-            let mut payload = vec![0u8; len as usize];
+            let mut payload = BytesMut::zeroed(len as usize);
             if !self.fill(&mut payload)? {
                 return Err(TransportError::PeerGone(
                     "connection lost mid-frame".to_owned(),
                 ));
             }
-            if !self.inlet.push(Bytes::from(payload)) {
+            if !self.inlet.push(payload.freeze()) {
                 return Ok(()); // the receiver is gone
             }
         }

@@ -5,7 +5,9 @@
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply cloneable, immutable byte buffer.
+/// A cheaply cloneable, immutable byte buffer: a view into one shared
+/// allocation. [`BytesMut::freeze`] hands a buffer's allocation over
+/// without copying it.
 #[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
@@ -26,7 +28,12 @@ impl Bytes {
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        let end = data.len();
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end,
+        }
     }
 
     /// Number of bytes in the buffer.
@@ -67,13 +74,11 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies `v` into a shared allocation. Code that builds a buffer
+    /// to freeze writes it through [`BytesMut`] instead, which needs no
+    /// copy.
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -138,62 +143,136 @@ impl std::hash::Hash for Bytes {
     }
 }
 
-/// A growable byte buffer for encoding.
-#[derive(Clone, Default, Debug)]
+/// A growable byte buffer for encoding. It writes straight into the
+/// shared allocation a [`Bytes`] reads from, so [`BytesMut::freeze`]
+/// is free: one allocation per buffer, no copy. (A `Bytes` holding an
+/// `Arc<Vec<u8>>` would also freeze without a copy, but costs a second
+/// allocation per buffer and a second pointer hop per read.)
 pub struct BytesMut {
-    inner: Vec<u8>,
+    /// Never shared until `freeze`, so `Arc::get_mut` always succeeds.
+    /// Bytes past `len` are spare capacity.
+    buf: Arc<[u8]>,
+    len: usize,
+}
+
+/// A fresh zero-filled allocation of `len` bytes.
+fn alloc_zeroed(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0, len).collect()
 }
 
 impl BytesMut {
     /// Creates an empty buffer.
     pub fn new() -> BytesMut {
-        BytesMut::default()
+        BytesMut::with_capacity(0)
     }
 
     /// Creates an empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> BytesMut {
         BytesMut {
-            inner: Vec::with_capacity(cap),
+            buf: alloc_zeroed(cap),
+            len: 0,
         }
     }
 
-    /// Reserves additional capacity.
+    /// Creates a buffer of `len` zero bytes.
+    pub fn zeroed(len: usize) -> BytesMut {
+        BytesMut {
+            buf: alloc_zeroed(len),
+            len,
+        }
+    }
+
+    /// Reserves capacity for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.inner.reserve(additional);
+        let need = self.len + additional;
+        if need > self.buf.len() {
+            let mut grown = alloc_zeroed(need.max(2 * self.buf.len()));
+            Arc::get_mut(&mut grown).expect("fresh allocation")[..self.len]
+                .copy_from_slice(&self.buf[..self.len]);
+            self.buf = grown;
+        }
     }
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len == 0
     }
 
-    /// Freezes into an immutable [`Bytes`].
+    /// Resizes the buffer to `new_len` bytes, filling any new bytes
+    /// with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        if new_len > self.len {
+            self.reserve(new_len - self.len);
+            let len = self.len;
+            self.spare()[..new_len - len].fill(value);
+        }
+        self.len = new_len;
+    }
+
+    /// Freezes into an immutable [`Bytes`] that keeps this buffer's
+    /// allocation.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.inner)
+        Bytes {
+            data: self.buf,
+            start: 0,
+            end: self.len,
+        }
+    }
+
+    /// The whole allocation, writable.
+    fn buf_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.buf).expect("a BytesMut owns its buffer alone")
+    }
+
+    /// The capacity past the written bytes, writable.
+    fn spare(&mut self) -> &mut [u8] {
+        let len = self.len;
+        &mut self.buf_mut()[len..]
+    }
+}
+
+impl Default for BytesMut {
+    fn default() -> BytesMut {
+        BytesMut::new()
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> BytesMut {
+        BytesMut::from(&self[..])
+    }
+}
+
+impl std::fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.inner
+        &self.buf[..self.len]
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.inner
+        let len = self.len;
+        &mut self.buf_mut()[..len]
     }
 }
 
 impl From<&[u8]> for BytesMut {
     fn from(v: &[u8]) -> BytesMut {
-        BytesMut { inner: v.to_vec() }
+        let mut b = BytesMut::with_capacity(v.len());
+        b.put_slice(v);
+        b
     }
 }
 
@@ -358,12 +437,68 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
+        self.reserve(src.len());
+        self.spare()[..src.len()].copy_from_slice(src);
+        self.len += src.len();
     }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn freeze_keeps_the_allocation_and_slices_share_it() {
+        let mut m = BytesMut::with_capacity(8);
+        m.put_slice(&[5, 6, 7]);
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr);
+        assert_eq!(&frozen[..], &[5, 6, 7]);
+
+        let tail = frozen.slice(1..);
+        assert_eq!(tail.as_ptr(), ptr.wrapping_add(1));
+        assert_eq!(&tail[..], &[6, 7]);
+
+        // A buffer filled in place, as a socket reader does, too.
+        let mut z = BytesMut::zeroed(4);
+        z.copy_from_slice(&[1, 2, 3, 4]);
+        let ptr = z.as_ptr();
+        assert_eq!(z.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn writes_past_capacity_grow_and_keep_contents() {
+        let mut m = BytesMut::new();
+        for i in 0..100u8 {
+            m.put_u8(i);
+        }
+        m.put_u32_le(0xdead_beef);
+        assert_eq!(m.len(), 104);
+        assert_eq!(&m[..3], &[0, 1, 2]);
+        assert_eq!(&m[100..], &0xdead_beefu32.to_le_bytes());
+        let copy = m.clone();
+        m[0] = 9;
+        assert_eq!(copy[0], 0, "a clone is a separate buffer");
+        assert_eq!(Bytes::from(vec![1u8, 2]), copy.freeze().slice(1..3));
+    }
+
+    #[test]
+    fn resize_grows_with_fill_and_truncates() {
+        let mut m = BytesMut::new();
+        m.put_u8(9);
+        m.resize(4, 7);
+        assert_eq!(&m[..], &[9, 7, 7, 7]);
+        m[1..].copy_from_slice(&[1, 2, 3]);
+        m.resize(2, 0);
+        assert_eq!(&m[..], &[9, 1]);
+        m.resize(3, 5);
+        assert_eq!(&m[..], &[9, 1, 5]);
     }
 }
