@@ -18,8 +18,8 @@ use std::time::Instant;
 use mrnet::obs::{trace, tracectx};
 use mrnet::simulate::{reduction_throughput, SMALL_PACKET};
 use mrnet_bench::{
-    experiment_topology, fanout_label, print_header, print_hop_breakdown, print_row,
-    print_trace_latency_table, BenchTree,
+    experiment_topology, fanout_label, print_header, print_row, print_trace_latency_table,
+    BenchTree,
 };
 use mrnet_packet::BatchPolicy;
 use mrnet_sim::LogGpParams;
@@ -115,15 +115,14 @@ fn main() {
     println!("\npaper shape: trees sustain ~70 ops/s out to 512 back-ends; flat collapses");
 
     // Live-tree cross-check: pipeline reduction waves through a real
-    // threaded tree with tracing on and report the internal hop and
-    // filter costs via the in-band introspection stream.
-    println!("\ninternal per-hop breakdown, live 2-way tree with 4 back-ends (traced):\n");
+    // threaded tree with every wave traced, then report the assembled
+    // per-hop latencies and the per-node packet and filter costs.
+    println!("\nper-hop latency, live 2-way tree with 4 back-ends (every wave traced):\n");
     trace::set_enabled(true);
     tracectx::set_sample_every(1);
     let tree = BenchTree::new(experiment_topology(Some(2), 4), BatchPolicy::default());
     tree.reduction_waves(200);
-    print_hop_breakdown(&tree.net);
-    println!("\nassembled per-hop latency (from sampled trace envelopes):\n");
+    // Let straggler down-wave TRACE_REPORTs drain before reading.
     std::thread::sleep(std::time::Duration::from_millis(200));
     print_trace_latency_table(&tree.net);
     tree.shutdown();

@@ -125,61 +125,6 @@ impl BenchTree {
     }
 }
 
-/// Collects an in-band metrics snapshot from a live tree and prints
-/// the internal per-hop breakdown: per node, packets moved in each
-/// direction and the mean in-node hop latencies, plus per-filter
-/// synchronization-wait and execution times (the paper's §3.2 internal
-/// costs). Hop columns are populated only while tracing is on
-/// (`MRNET_TRACE=1` or `mrnet::obs::trace::set_enabled(true)`).
-pub fn print_hop_breakdown(net: &Network) {
-    let snap = match net.metrics_snapshot(Duration::from_secs(5)) {
-        Ok(s) => s,
-        Err(e) => {
-            println!("(metrics snapshot unavailable: {e})");
-            return;
-        }
-    };
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "rank", "up.recv", "up.sent", "down.recv", "down.sent", "hop.up(us)", "hop.down(us)"
-    );
-    for rank in snap.ranks() {
-        let Some(node) = snap.node(rank) else {
-            continue;
-        };
-        let count = |name: &str| node.get(name).unwrap_or(0);
-        let mean = |name: &str| node.hist_mean_us(name).unwrap_or(0.0);
-        println!(
-            "{:>6} {:>10} {:>10} {:>10} {:>10} {:>12.1} {:>12.1}",
-            rank,
-            count("up.pkts.recv"),
-            count("up.pkts.sent"),
-            count("down.pkts.recv"),
-            count("down.pkts.sent"),
-            mean("hop_up_us"),
-            mean("hop_down_us"),
-        );
-    }
-    for rank in snap.ranks() {
-        let Some(node) = snap.node(rank) else {
-            continue;
-        };
-        for (name, waves) in node
-            .entries()
-            .filter(|(n, _)| n.starts_with("filter.") && n.ends_with(".waves"))
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect::<Vec<_>>()
-        {
-            let base = name.trim_end_matches(".waves");
-            let wait = node.hist_mean_us(&format!("{base}.wait_us")).unwrap_or(0.0);
-            let exec = node.hist_mean_us(&format!("{base}.exec_us")).unwrap_or(0.0);
-            println!(
-                "  node {rank}: {base}: {waves} waves, mean wait {wait:.1} us, mean exec {exec:.1} us"
-            );
-        }
-    }
-}
-
 /// Renders a bucketed quantile for display: the catch-all bucket has
 /// no finite upper bound.
 fn fmt_quantile(us: u64) -> String {
@@ -190,61 +135,108 @@ fn fmt_quantile(us: u64) -> String {
     }
 }
 
-/// Prints the per-hop latency table reconstructed by the front-end's
-/// [`TraceAssembler`] from sampled trace envelopes: per-rank dwell and
+/// Prints a live tree's internal costs in one report. First the
+/// per-hop latency table the front-end's [`TraceAssembler`]
+/// reconstructed from sampled trace envelopes: per-rank dwell and
 /// per-edge transit percentiles (skew-corrected), plus the clock
-/// offset/RTT estimates behind the correction. This is the
-/// trace-driven replacement for the ad-hoc per-node breakdown — it
-/// answers "which hop made this wave slow?" directly. Requires
-/// tracing on (`MRNET_TRACE=1` or `trace::set_enabled(true)`) while
-/// the waves ran.
+/// offset/RTT estimates behind the correction. It answers "which hop
+/// made this wave slow?" and needs tracing on (`MRNET_TRACE=1` or
+/// `trace::set_enabled(true)`) while the waves ran. Then, from an
+/// in-band metrics snapshot, per-node packet counts in each direction
+/// and per-filter synchronization-wait and execution times (the
+/// paper's §3.2 internal costs).
+///
+/// [`TraceAssembler`]: mrnet::TraceAssembler
 pub fn print_trace_latency_table(net: &Network) {
     let asm = net.trace_assembler();
     let hops = asm.hop_histograms();
     if hops.is_empty() {
         println!("(no traced waves assembled — enable tracing with MRNET_TRACE=1)");
-        return;
-    }
-    println!(
-        "{:>6} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "rank", "waves", "p50(us)", "p95(us)", "p99(us)", "mean(us)"
-    );
-    for (rank, h) in hops {
-        let s = h.snapshot();
+    } else {
         println!(
-            "{:>6} {:>8} {:>10} {:>10} {:>10} {:>10.1}",
-            rank,
-            s.count,
-            fmt_quantile(s.quantile_le_us(0.50)),
-            fmt_quantile(s.quantile_le_us(0.95)),
-            fmt_quantile(s.quantile_le_us(0.99)),
-            s.mean_us(),
+            "{:>6} {:>8} {:>10} {:>10} {:>10} {:>10}",
+            "rank", "waves", "p50(us)", "p95(us)", "p99(us)", "mean(us)"
         );
-    }
-    println!("\nper-edge transit latency (skew-corrected):");
-    println!(
-        "{:>12} {:>8} {:>10} {:>10} {:>10}",
-        "edge", "waves", "p50(us)", "p95(us)", "p99(us)"
-    );
-    for ((from, to), h) in asm.edge_histograms() {
-        let s = h.snapshot();
+        for (rank, h) in hops {
+            let s = h.snapshot();
+            println!(
+                "{:>6} {:>8} {:>10} {:>10} {:>10} {:>10.1}",
+                rank,
+                s.count,
+                fmt_quantile(s.quantile_le_us(0.50)),
+                fmt_quantile(s.quantile_le_us(0.95)),
+                fmt_quantile(s.quantile_le_us(0.99)),
+                s.mean_us(),
+            );
+        }
+        println!("\nper-edge transit latency (skew-corrected):");
         println!(
             "{:>12} {:>8} {:>10} {:>10} {:>10}",
-            format!("{from}->{to}"),
-            s.count,
-            fmt_quantile(s.quantile_le_us(0.50)),
-            fmt_quantile(s.quantile_le_us(0.95)),
-            fmt_quantile(s.quantile_le_us(0.99)),
+            "edge", "waves", "p50(us)", "p95(us)", "p99(us)"
+        );
+        for ((from, to), h) in asm.edge_histograms() {
+            let s = h.snapshot();
+            println!(
+                "{:>12} {:>8} {:>10} {:>10} {:>10}",
+                format!("{from}->{to}"),
+                s.count,
+                fmt_quantile(s.quantile_le_us(0.50)),
+                fmt_quantile(s.quantile_le_us(0.95)),
+                fmt_quantile(s.quantile_le_us(0.99)),
+            );
+        }
+        let synced = asm.synced_ranks();
+        if !synced.is_empty() {
+            println!("\nclock estimates (vs front-end):");
+            for rank in synced {
+                let c = asm.clock_of(rank);
+                println!(
+                    "  rank {rank}: offset {:+} us, ping rtt {} us",
+                    c.offset_us, c.rtt_us
+                );
+            }
+        }
+    }
+
+    let snap = match net.metrics_snapshot(Duration::from_secs(5)) {
+        Ok(s) => s,
+        Err(e) => {
+            println!("(metrics snapshot unavailable: {e})");
+            return;
+        }
+    };
+    println!("\nper-node packets and filter costs (in-band snapshot):");
+    println!(
+        "{:>6} {:>10} {:>10} {:>10} {:>10}",
+        "rank", "up.recv", "up.sent", "down.recv", "down.sent"
+    );
+    for rank in snap.ranks() {
+        let Some(node) = snap.node(rank) else {
+            continue;
+        };
+        let count = |name: &str| node.get(name).unwrap_or(0);
+        println!(
+            "{:>6} {:>10} {:>10} {:>10} {:>10}",
+            rank,
+            count("up.pkts.recv"),
+            count("up.pkts.sent"),
+            count("down.pkts.recv"),
+            count("down.pkts.sent"),
         );
     }
-    let synced = asm.synced_ranks();
-    if !synced.is_empty() {
-        println!("\nclock estimates (vs front-end):");
-        for rank in synced {
-            let c = asm.clock_of(rank);
+    for rank in snap.ranks() {
+        let Some(node) = snap.node(rank) else {
+            continue;
+        };
+        for (name, waves) in node
+            .entries()
+            .filter(|(n, _)| n.starts_with("filter.") && n.ends_with(".waves"))
+        {
+            let base = name.trim_end_matches(".waves");
+            let wait = node.hist_mean_us(&format!("{base}.wait_us")).unwrap_or(0.0);
+            let exec = node.hist_mean_us(&format!("{base}.exec_us")).unwrap_or(0.0);
             println!(
-                "  rank {rank}: offset {:+} us, ping rtt {} us",
-                c.offset_us, c.rtt_us
+                "  node {rank}: {base}: {waves} waves, mean wait {wait:.1} us, mean exec {exec:.1} us"
             );
         }
     }

@@ -150,7 +150,6 @@ impl Backend {
                 // and report the completed envelope back up the tree so
                 // the front-end's assembler can reconstruct the wave.
                 let recv_us = tracectx::wall_us();
-                self.metrics.trace_frames.inc();
                 self.ingest_packets(packets);
                 for mut env in envelopes {
                     env.add_hop(self.rank, recv_us, tracectx::wall_us());

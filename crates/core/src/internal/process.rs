@@ -23,8 +23,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use mrnet_filters::FilterRegistry;
 use mrnet_obs::tracectx::{self, TraceEnvelope, TraceSampler};
 use mrnet_obs::{
-    log_error, log_warn, trace, ConnSendStats, MetricsSection, NetworkSnapshot, NodeMetrics,
-    TraceAssembler, TraceDir, TraceEvent,
+    log_error, log_warn, ConnSendStats, MetricsSection, NetworkSnapshot, NodeMetrics,
+    TraceAssembler, TraceDir,
 };
 use mrnet_packet::{BatchPolicy, Batcher, Packet, Rank, StreamId};
 use mrnet_transport::{ClockEstimate, FrameSink, SharedConnection};
@@ -765,7 +765,6 @@ impl NodeLoop {
                 // Stamp arrival once per frame; the envelopes wait with
                 // that stamp until their streams' waves forward.
                 let recv_us = tracectx::wall_us();
-                self.metrics.trace_frames.inc();
                 for env in envelopes {
                     let pending = self.trace_pending_up.entry(env.stream).or_default();
                     if pending.len() < TRACE_PENDING_CAP {
@@ -816,7 +815,6 @@ impl NodeLoop {
                 continue;
             }
             self.metrics.up_pkts_recv.inc();
-            self.trace_hop(&packet, TraceDir::Up, now);
             let waves = match self.managers.get_mut(&sid) {
                 Some(mgr) => mgr.up_sync(child, packet, now)?,
                 // Stream unknown (deleted or never created):
@@ -964,7 +962,6 @@ impl NodeLoop {
             }
             Frame::Traced(packets, envelopes) => {
                 let recv_us = tracectx::wall_us();
-                self.metrics.trace_frames.inc();
                 // Spread the envelopes into child outboxes *before*
                 // routing: a route-triggered flush then carries them on
                 // the very frame their wave rides.
@@ -1016,14 +1013,12 @@ impl NodeLoop {
     }
 
     fn on_parent_packets(&mut self, packets: Vec<Packet>) -> Result<()> {
-        let now = self.now();
         for packet in packets {
             if packet.stream_id() == METRICS_STREAM {
                 self.on_metrics_request(&packet);
                 continue;
             }
             self.metrics.down_pkts_recv.inc();
-            self.trace_hop(&packet, TraceDir::Down, now);
             self.route_down(packet)?;
         }
         Ok(())
@@ -1180,24 +1175,10 @@ impl NodeLoop {
             return;
         }
         if !self.child_trace_outbox[child].is_empty() {
-            // Traced flush: stamp this node's hop (arrival stamp kept
-            // from ingest, departure stamped now) onto every pending
-            // envelope and ship them as the frame's trailer. Traced
-            // frames differ per child, so they never enter the
+            // Traced frames differ per child, so they never enter the
             // encode-once sharing path below.
-            let now = tracectx::wall_us();
-            let mut envs = Vec::with_capacity(self.child_trace_outbox[child].len());
-            for (mut env, recv_us) in self.child_trace_outbox[child].drain(..) {
-                env.add_hop(self.rank, recv_us, now);
-                envs.push(env);
-            }
-            self.metrics.trace_hops.add(envs.len() as u64);
-            self.metrics.trace_frames.inc();
-            if !packets.is_empty() {
-                self.metrics.batch_pkts.record_us(packets.len() as u64);
-            }
-            let frame = encode_traced_data_frame(&packets, &envs);
-            self.metrics.frames_encoded.inc();
+            let outbox = std::mem::take(&mut self.child_trace_outbox[child]);
+            let frame = self.encode_traced_flush(&packets, outbox);
             if self.children[child].send(frame).is_err() {
                 self.child_alive[child] = false;
             }
@@ -1242,20 +1223,8 @@ impl NodeLoop {
             return;
         };
         if !self.parent_trace_outbox.is_empty() {
-            let now = tracectx::wall_us();
-            let mut envs = Vec::with_capacity(self.parent_trace_outbox.len());
-            for (mut env, recv_us) in self.parent_trace_outbox.drain(..) {
-                env.add_hop(self.rank, recv_us, now);
-                envs.push(env);
-            }
-            self.metrics.trace_hops.add(envs.len() as u64);
-            self.metrics.trace_frames.inc();
-            if !packets.is_empty() {
-                self.metrics.batch_pkts.record_us(packets.len() as u64);
-            }
-            let frame = encode_traced_data_frame(&packets, &envs);
-            self.metrics.frames_encoded.inc();
-            let _ = parent.send(frame);
+            let outbox = std::mem::take(&mut self.parent_trace_outbox);
+            let _ = parent.send(self.encode_traced_flush(&packets, outbox));
             return;
         }
         if packets.is_empty() {
@@ -1267,6 +1236,31 @@ impl NodeLoop {
         let _ = parent.send(frame);
     }
 
+    /// Encodes a traced flush toward one neighbor: stamps this node's
+    /// hop (arrival stamp kept from ingest, departure stamped now) onto
+    /// every pending envelope and ships them as the frame's trailer.
+    fn encode_traced_flush(
+        &self,
+        packets: &[Packet],
+        outbox: Vec<(TraceEnvelope, u64)>,
+    ) -> bytes::Bytes {
+        let now = tracectx::wall_us();
+        let envs: Vec<TraceEnvelope> = outbox
+            .into_iter()
+            .map(|(mut env, recv_us)| {
+                env.add_hop(self.rank, recv_us, now);
+                env
+            })
+            .collect();
+        self.metrics.trace_hops.add(envs.len() as u64);
+        self.metrics.trace_frames.inc();
+        if !packets.is_empty() {
+            self.metrics.batch_pkts.record_us(packets.len() as u64);
+        }
+        self.metrics.frames_encoded.inc();
+        encode_traced_data_frame(packets, &envs)
+    }
+
     fn flush_all(&mut self) {
         for i in 0..self.children.len() {
             if !self.child_batchers[i].is_empty() || !self.child_trace_outbox[i].is_empty() {
@@ -1276,31 +1270,6 @@ impl NodeLoop {
         if !self.parent_batcher.is_empty() || !self.parent_trace_outbox.is_empty() {
             self.flush_parent();
         }
-    }
-
-    /// Records a packet-path trace event (and the matching hop-latency
-    /// sample) when tracing is on. `t0` is the epoch-relative arrival
-    /// time of the frame carrying the packet, so `hop_us` measures
-    /// in-node handling latency up to this point.
-    fn trace_hop(&self, packet: &Packet, dir: TraceDir, t0: f64) {
-        if !trace::enabled() {
-            return;
-        }
-        let now = self.now();
-        let hop_us = ((now - t0).max(0.0) * 1e6) as u64;
-        let hist = match dir {
-            TraceDir::Up => &self.metrics.hop_up_us,
-            TraceDir::Down => &self.metrics.hop_down_us,
-        };
-        hist.record_us(hop_us);
-        self.metrics.trace.record(TraceEvent {
-            at_us: (now * 1e6) as u64,
-            stream: packet.stream_id(),
-            tag: packet.tag(),
-            origin: packet.src(),
-            dir,
-            hop_us,
-        });
     }
 
     /// Begins a metrics collection at this node: snapshot ourselves,

@@ -2,7 +2,8 @@
 //! waves crossing a live 2-level tree, skew-corrected reassembly at
 //! the front-end, and the metrics export surfaces.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mrnet::obs::{trace, tracectx, TraceDir};
@@ -176,6 +177,72 @@ fn sampled_waves_assemble_into_causal_timelines_both_directions() {
         .filter_map(|s| s.get("trace.frames"))
         .sum();
     assert!(traced_frames > 0);
+
+    net.shutdown();
+    trace::set_enabled(false);
+}
+
+#[test]
+fn trace_frames_counts_traced_frames_each_node_sent() {
+    let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    trace::set_enabled(true);
+    tracectx::set_sample_every(1);
+
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let net = dep.network.clone();
+    let endpoints: Vec<u32> = net.endpoints().to_vec();
+    let comm = net.broadcast_communicator();
+    let fmax = net.registry().id_of("f_max").unwrap();
+    let stream = net.new_stream(&comm, fmax, SyncMode::WaitForAll).unwrap();
+    stream.send(1, "%d", vec![Value::Int32(7)]).unwrap();
+
+    // Each back-end answers the one multicast wave with one traced
+    // send, then keeps pumping so its handle answers the metrics
+    // request below.
+    let stop = Arc::new(AtomicBool::new(false));
+    let pumps: Vec<_> = dep
+        .backends
+        .into_iter()
+        .map(|be| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let (_, sid) = be.recv().unwrap();
+                be.send(sid, 1, "%f", vec![Value::Float(1.0)]).unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    if be.recv_timeout(Duration::from_millis(20)).is_err() {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+    stream.recv_timeout(TIMEOUT).unwrap();
+    let snap = net.metrics_snapshot(TIMEOUT).unwrap();
+    stop.store(true, Ordering::Relaxed);
+    for p in pumps {
+        p.join().unwrap();
+    }
+
+    // Sent frames only: the root multicasts to its 2 children; each
+    // internal node multicasts to its 2 back-ends and forwards 1
+    // aggregated up-wave; each back-end sends 1 reply.
+    assert_eq!(snap.nodes.len(), 7, "every node reported");
+    for node in &snap.nodes {
+        let expected = if node.rank == 0 {
+            2
+        } else if endpoints.contains(&node.rank) {
+            1
+        } else {
+            3
+        };
+        assert_eq!(
+            node.get("trace.frames"),
+            Some(expected),
+            "rank {} trace.frames",
+            node.rank
+        );
+    }
 
     net.shutdown();
     trace::set_enabled(false);

@@ -164,7 +164,7 @@ mod tests {
         h.record_us(2);
         h.record_us(900); // bucket le_1024
         h.record_us(u64::MAX); // catch-all
-        a.push_histogram("hop_up_us", &h.snapshot());
+        a.push_histogram("batch.pkts", &h.snapshot());
         let mut b = MetricsSection::new(3);
         b.push("up.pkts.sent", 7);
         NetworkSnapshot { nodes: vec![a, b] }
@@ -183,17 +183,17 @@ mod tests {
     #[test]
     fn prometheus_histograms_are_cumulative_with_inf() {
         let text = prometheus_text(&sample_snapshot());
-        assert!(text.contains("# TYPE mrnet_hop_up_us histogram\n"));
-        assert!(text.contains("mrnet_hop_up_us_bucket{rank=\"0\",le=\"2\"} 2\n"));
-        assert!(text.contains("mrnet_hop_up_us_bucket{rank=\"0\",le=\"1024\"} 3\n"));
-        assert!(text.contains("mrnet_hop_up_us_bucket{rank=\"0\",le=\"+Inf\"} 4\n"));
-        assert!(text.contains("mrnet_hop_up_us_count{rank=\"0\"} 4\n"));
+        assert!(text.contains("# TYPE mrnet_batch_pkts histogram\n"));
+        assert!(text.contains("mrnet_batch_pkts_bucket{rank=\"0\",le=\"2\"} 2\n"));
+        assert!(text.contains("mrnet_batch_pkts_bucket{rank=\"0\",le=\"1024\"} 3\n"));
+        assert!(text.contains("mrnet_batch_pkts_bucket{rank=\"0\",le=\"+Inf\"} 4\n"));
+        assert!(text.contains("mrnet_batch_pkts_count{rank=\"0\"} 4\n"));
         // The raw .count/.sum_us/.le_* entries are not re-emitted as
         // scalar series.
         assert!(
-            !text.contains("mrnet_hop_up_us_count{rank=\"0\"} 4\n\nmrnet_hop_up_us_count_count")
+            !text.contains("mrnet_batch_pkts_count{rank=\"0\"} 4\n\nmrnet_batch_pkts_count_count")
         );
-        assert!(!text.contains("mrnet_hop_up_us_le_"));
+        assert!(!text.contains("mrnet_batch_pkts_le_"));
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
         assert!(text.starts_with("{\n  \"nodes\": [\n"));
         assert!(text.contains("{\"rank\": 0, \"metrics\": {"));
         assert!(text.contains("\"up.pkts.sent\": 12"));
-        assert!(text.contains("\"hop_up_us.count\": 4"));
+        assert!(text.contains("\"batch.pkts.count\": 4"));
         assert!(text.contains("{\"rank\": 3, \"metrics\": {\"up.pkts.sent\": 7}}"));
         assert!(text.trim_end().ends_with('}'));
         // Balanced braces/brackets (cheap well-formedness check).

@@ -2,9 +2,10 @@
 //!
 //! The observability layer beneath the MRNet reproduction: a
 //! lock-cheap metrics registry (atomic counters, gauges, fixed-bucket
-//! latency histograms), a bounded per-node packet-path trace buffer,
-//! and a tiny leveled log facade controlled by the `MRNET_LOG`
-//! environment variable.
+//! latency histograms), sampled cross-tree wave tracing (in-band
+//! envelopes plus the front-end's [`TraceAssembler`]), and a tiny
+//! leveled log facade controlled by the `MRNET_LOG` environment
+//! variable.
 //!
 //! Design constraints (mirroring the paper's measurement needs, §4):
 //!
@@ -44,5 +45,5 @@ pub use metrics::{
     StreamCounters, HIST_BUCKETS,
 };
 pub use snapshot::{MetricsSection, NetworkSnapshot};
-pub use trace::{TraceBuffer, TraceDir, TraceEvent};
+pub use trace::TraceDir;
 pub use tracectx::{HopRecord, TraceEnvelope, TraceSampler};

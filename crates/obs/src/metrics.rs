@@ -16,7 +16,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::snapshot::MetricsSection;
-use crate::trace::TraceBuffer;
 
 /// Number of exponential histogram buckets: bucket `i` counts samples
 /// with value `<= 2^i` microseconds (the last bucket is a catch-all),
@@ -280,15 +279,6 @@ pub struct NodeMetrics {
     /// Packets per flushed batch frame (batching amortizes the §4
     /// per-frame cost).
     pub batch_pkts: Histogram,
-    /// Per-hop upstream latency (child send → this node's receive),
-    /// recorded only while tracing is enabled.
-    pub hop_up_us: Histogram,
-    /// Per-hop downstream latency (parent send → this node's receive),
-    /// recorded only while tracing is enabled.
-    pub hop_down_us: Histogram,
-    /// Packet-path trace events, bounded ring; populated only while
-    /// tracing is enabled.
-    pub trace: TraceBuffer,
     /// Directly-connected peers this node confirmed dead (EOF,
     /// mid-frame loss, missed heartbeats, or garbage frames).
     pub peer_deaths: Counter,
@@ -381,7 +371,6 @@ impl NodeMetrics {
         s.push("down.pkts.recv", self.down_pkts_recv.get());
         s.push("up.bytes.local", self.local_up_bytes.get());
         s.push("queue.depth", self.queue_depth.get().max(0) as u64);
-        s.push("trace.events", self.trace.recorded());
         s.push("peer.deaths", self.peer_deaths.get());
         s.push("connect.retries", self.connect_retries.get());
         s.push("streams.pruned", self.pruned_streams.get());
@@ -402,8 +391,6 @@ impl NodeMetrics {
         s.push("pkts.lazy_relayed", self.pkts_lazy_relayed.get());
         s.push("pkts.decoded", self.pkts_decoded.get());
         s.push_histogram("batch.pkts", &self.batch_pkts.snapshot());
-        s.push_histogram("hop_up_us", &self.hop_up_us.snapshot());
-        s.push_histogram("hop_down_us", &self.hop_down_us.snapshot());
         for (id, c) in self.streams.lock().iter() {
             s.push(&format!("stream.{id}.up.pkts"), c.up_pkts.get());
             s.push(&format!("stream.{id}.down.pkts"), c.down_pkts.get());
@@ -559,20 +546,20 @@ mod tests {
         // Two nodes report the same histogram name; the tree-level
         // aggregate is their bucketwise merge.
         let node_a = NodeMetrics::new();
-        node_a.hop_up_us.record_us(3);
-        node_a.hop_up_us.record_us(100);
+        node_a.batch_pkts.record_us(3);
+        node_a.batch_pkts.record_us(100);
         let node_b = NodeMetrics::new();
-        node_b.hop_up_us.record_us(3);
-        let mut merged = node_a.hop_up_us.snapshot();
-        merged.merge(&node_b.hop_up_us.snapshot());
+        node_b.batch_pkts.record_us(3);
+        let mut merged = node_a.batch_pkts.snapshot();
+        merged.merge(&node_b.batch_pkts.snapshot());
         assert_eq!(merged.count, 3);
         assert_eq!(merged.buckets[2], 2);
         assert_eq!(merged.sum_us, 106);
         // A section built from the merge is self-consistent.
         let mut s = MetricsSection::new(0);
-        s.push_histogram("hop_up_us", &merged);
-        assert_eq!(s.get("hop_up_us.count"), Some(3));
-        assert_eq!(s.get("hop_up_us.le_4"), Some(2));
+        s.push_histogram("batch.pkts", &merged);
+        assert_eq!(s.get("batch.pkts.count"), Some(3));
+        assert_eq!(s.get("batch.pkts.le_4"), Some(2));
     }
 
     #[test]

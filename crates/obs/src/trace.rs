@@ -1,52 +1,20 @@
-//! Packet-path tracing: a process-wide enable gate and a bounded
-//! per-node ring buffer of hop events.
+//! Tracing's process-wide enable gate and the direction of a traced
+//! wave.
 //!
 //! Tracing is **off by default**. It turns on via `MRNET_TRACE=1` (or
 //! `true`/`on`) in the environment, or programmatically with
-//! [`set_enabled`] — the API override wins. While off, the node loop's
-//! only cost is one relaxed atomic load per packet; no events are
-//! recorded and hop histograms stay empty.
+//! [`set_enabled`] — the API override wins. While it is off,
+//! [`crate::TraceSampler`] samples no wave, so the wire carries zero
+//! trailer bytes.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-
-use parking_lot::Mutex;
-
-/// Default capacity of a node's trace ring, used when
-/// `MRNET_TRACE_CAPACITY` is unset or unparsable.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Smallest ring the environment may configure; tinier values are
-/// clamped up so a ring always holds a useful window.
-pub const MIN_TRACE_CAPACITY: usize = 16;
-
-/// Largest ring the environment may configure (per node, so a large
-/// tree multiplies it); larger values are clamped down.
-pub const MAX_TRACE_CAPACITY: usize = 1 << 20;
-
-/// Parses an `MRNET_TRACE_CAPACITY` value into a ring capacity.
-/// Missing, empty, or unparsable values fall back to
-/// [`DEFAULT_TRACE_CAPACITY`]; parsed values are clamped into
-/// `[MIN_TRACE_CAPACITY, MAX_TRACE_CAPACITY]`.
-pub fn parse_capacity(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(MIN_TRACE_CAPACITY, MAX_TRACE_CAPACITY))
-        .unwrap_or(DEFAULT_TRACE_CAPACITY)
-}
-
-/// The process-wide configured ring capacity: `MRNET_TRACE_CAPACITY`
-/// (read once), clamped, defaulting to [`DEFAULT_TRACE_CAPACITY`].
-pub fn capacity_from_env() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
-    *CAPACITY.get_or_init(|| parse_capacity(std::env::var("MRNET_TRACE_CAPACITY").ok().as_deref()))
-}
 
 /// 0 = no override, 1 = forced off, 2 = forced on.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static FROM_ENV: OnceLock<bool> = OnceLock::new();
 
-/// True when packet-path tracing is active for this process.
+/// True when tracing is active for this process.
 pub fn enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => false,
@@ -68,7 +36,7 @@ pub fn set_enabled(on: bool) {
     OVERRIDE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Which way a traced packet was moving through the node.
+/// Which way a traced wave travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceDir {
     /// Toward the root (a reduction leg).
@@ -77,132 +45,9 @@ pub enum TraceDir {
     Down,
 }
 
-/// One hop observation: a packet seen at this node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// When the node observed the packet, in microseconds since the
-    /// node's epoch.
-    pub at_us: u64,
-    /// Stream the packet rode.
-    pub stream: u32,
-    /// Application tag.
-    pub tag: i32,
-    /// Originating rank (the packet's `src`).
-    pub origin: u32,
-    /// Direction of travel.
-    pub dir: TraceDir,
-    /// Latency of the hop that delivered the packet here (send
-    /// timestamp to local receive), when the sender's clock made that
-    /// measurable; zero otherwise.
-    pub hop_us: u64,
-}
-
-/// A bounded ring of [`TraceEvent`]s; when full, the oldest event is
-/// overwritten. `recorded` keeps the all-time count so a snapshot can
-/// report how much history the ring has shed.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    inner: Mutex<Ring>,
-}
-
-#[derive(Debug)]
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    recorded: u64,
-}
-
-impl Default for TraceBuffer {
-    fn default() -> TraceBuffer {
-        TraceBuffer::with_capacity(capacity_from_env())
-    }
-}
-
-impl TraceBuffer {
-    /// Creates a ring holding at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> TraceBuffer {
-        TraceBuffer {
-            inner: Mutex::new(Ring {
-                events: VecDeque::new(),
-                capacity: capacity.max(1),
-                recorded: 0,
-            }),
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, ev: TraceEvent) {
-        let mut ring = self.inner.lock();
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
-        }
-        ring.events.push_back(ev);
-        ring.recorded += 1;
-    }
-
-    /// All events recorded since the process started, including ones
-    /// the ring has since evicted.
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().recorded
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
-    }
-
-    /// True when the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
-    }
-
-    /// Copies out the retained events, oldest first.
-    pub fn drain_snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.iter().cloned().collect()
-    }
-
-    /// Clears the ring (the all-time `recorded` count is kept).
-    pub fn clear(&self) {
-        self.inner.lock().events.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(at_us: u64) -> TraceEvent {
-        TraceEvent {
-            at_us,
-            stream: 1,
-            tag: 100,
-            origin: 2,
-            dir: TraceDir::Up,
-            hop_us: 5,
-        }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest() {
-        let buf = TraceBuffer::with_capacity(3);
-        for i in 0..5 {
-            buf.record(ev(i));
-        }
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.recorded(), 5);
-        let got: Vec<u64> = buf.drain_snapshot().iter().map(|e| e.at_us).collect();
-        assert_eq!(got, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn clear_keeps_recorded_count() {
-        let buf = TraceBuffer::with_capacity(2);
-        buf.record(ev(0));
-        buf.record(ev(1));
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.recorded(), 2);
-    }
 
     #[test]
     fn api_override_beats_env() {
@@ -210,26 +55,5 @@ mod tests {
         assert!(enabled());
         set_enabled(false);
         assert!(!enabled());
-    }
-
-    #[test]
-    fn parse_capacity_defaults_and_clamps() {
-        assert_eq!(parse_capacity(None), DEFAULT_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some("")), DEFAULT_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some("nope")), DEFAULT_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some("-5")), DEFAULT_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some("0")), MIN_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some("3")), MIN_TRACE_CAPACITY);
-        assert_eq!(parse_capacity(Some(" 512 ")), 512);
-        assert_eq!(parse_capacity(Some("999999999999")), MAX_TRACE_CAPACITY);
-    }
-
-    #[test]
-    fn zero_capacity_clamped_to_one() {
-        let buf = TraceBuffer::with_capacity(0);
-        buf.record(ev(0));
-        buf.record(ev(1));
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.drain_snapshot()[0].at_us, 1);
     }
 }
